@@ -8,8 +8,12 @@ GO ?= go
 
 all: build
 
+# The benchmark harness (perfbench/) is its own module, so ./... never
+# reaches it even though it imports internal/*; build and vet it
+# explicitly. -o /dev/null keeps the harness binary out of the tree.
 build:
 	$(GO) build ./...
+	$(GO) -C perfbench build -o /dev/null ./...
 
 fmt-check:
 	@out="$$(gofmt -l .)"; \
@@ -19,6 +23,7 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
 
 staticcheck:
 	@if command -v staticcheck >/dev/null; then \

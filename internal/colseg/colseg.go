@@ -218,8 +218,21 @@ func PutInt64s(vals []int64) []byte {
 	return out
 }
 
+// checkRows bounds a declared row count by the payload: every row of a
+// varint-coded column costs at least one byte, so a count above len(p)
+// is corrupt — and must be rejected before it sizes any allocation.
+func checkRows(kind string, p []byte, rows int) error {
+	if rows < 0 || rows > len(p) {
+		return corruptf("%s column: %d rows in %d bytes", kind, rows, len(p))
+	}
+	return nil
+}
+
 // Int64s decodes an int64 column of exactly rows values.
 func Int64s(p []byte, rows int) ([]int64, error) {
+	if err := checkRows("int64", p, rows); err != nil {
+		return nil, err
+	}
 	out := make([]int64, rows)
 	at := 0
 	for i := 0; i < rows; i++ {
@@ -249,7 +262,7 @@ func PutFloat64s(vals []float64) []byte {
 
 // Float64s decodes a float64 column of exactly rows values.
 func Float64s(p []byte, rows int) ([]float64, error) {
-	if len(p) != 8*rows {
+	if rows < 0 || len(p) != 8*rows {
 		return nil, corruptf("float64 column: %d bytes for %d rows", len(p), rows)
 	}
 	out := make([]float64, rows)
@@ -285,6 +298,9 @@ func PutStrings(vals []string) []byte {
 
 // Strings decodes a string column of exactly rows values.
 func Strings(p []byte, rows int) ([]string, error) {
+	if err := checkRows("string", p, rows); err != nil {
+		return nil, err
+	}
 	dn, n := binary.Uvarint(p)
 	if n <= 0 {
 		return nil, corruptf("string column: short dictionary header")
@@ -348,6 +364,9 @@ func PutFloatLists(vals [][]float64) []byte {
 
 // FloatLists decodes a float-list column of exactly rows values.
 func FloatLists(p []byte, rows int) ([][]float64, error) {
+	if err := checkRows("float-list", p, rows); err != nil {
+		return nil, err
+	}
 	lens := make([]int, rows) // -1 for nil
 	at := 0
 	total := 0
@@ -360,6 +379,12 @@ func FloatLists(p []byte, rows int) ([][]float64, error) {
 		if u == 0 {
 			lens[i] = -1
 			continue
+		}
+		// Each value costs 8 payload bytes, so no length (and no running
+		// total) may exceed len(p)/8; checking before the add also keeps
+		// total from overflowing.
+		if u-1 > uint64(len(p)/8-total) {
+			return nil, corruptf("float-list column: length %d at row %d overruns %d bytes", u-1, i, len(p))
 		}
 		lens[i] = int(u - 1)
 		total += lens[i]

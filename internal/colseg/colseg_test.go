@@ -2,9 +2,11 @@ package colseg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -138,4 +140,67 @@ func mustCol(t *testing.T, s *Segment, name string) []byte {
 		t.Fatalf("missing column %q", name)
 	}
 	return p
+}
+
+// allocBytes reports how many heap bytes fn allocates.
+func allocBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDeclaredRowsBoundedByPayload feeds every typed codec a 44-byte
+// segment with valid checksums that declares 2^31 rows over an empty
+// column. The container decodes — its checksums hold — but each codec
+// must reject the row count before sizing any allocation by it.
+func TestDeclaredRowsBoundedByPayload(t *testing.T) {
+	w := NewWriter(1, 1<<31)
+	w.Column("xy", nil)
+	b := w.Bytes()
+	if len(b) != 44 {
+		t.Fatalf("segment is %d bytes, want 44", len(b))
+	}
+	s, err := Decode(b)
+	if err != nil || s.Rows != 1<<31 {
+		t.Fatalf("Decode: rows %d, err %v", s.Rows, err)
+	}
+	p := mustCol(t, s, "xy")
+	codecs := map[string]func() error{
+		"int64":      func() error { _, err := Int64s(p, s.Rows); return err },
+		"float64":    func() error { _, err := Float64s(p, s.Rows); return err },
+		"string":     func() error { _, err := Strings(p, s.Rows); return err },
+		"float-list": func() error { _, err := FloatLists(p, s.Rows); return err },
+	}
+	for name, decode := range codecs {
+		var err error
+		n := allocBytes(func() { err = decode() })
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+		if n > 1<<20 {
+			t.Errorf("%s: allocated %d bytes rejecting a 44-byte segment", name, n)
+		}
+	}
+}
+
+// TestFloatListLengthsBounded checks per-row float-list lengths against
+// the payload: a length past len(p)/8, or lengths whose sum wraps to a
+// value that matches the payload, must be rejected, not sliced.
+func TestFloatListLengthsBounded(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<40)
+	wrap := binary.AppendUvarint(nil, 1<<63+1)
+	wrap = binary.AppendUvarint(wrap, 1<<63+1)
+	for name, tc := range map[string]struct {
+		p    []byte
+		rows int
+	}{
+		"huge length":  {huge, 1},
+		"wrapping sum": {wrap, 2},
+	} {
+		if _, err := FloatLists(tc.p, tc.rows); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
 }

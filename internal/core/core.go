@@ -30,11 +30,9 @@ import (
 	"repro/internal/control"
 	"repro/internal/edit"
 	"repro/internal/isa"
-	"repro/internal/profiler"
 	"repro/internal/shaker"
 	"repro/internal/sim"
 	"repro/internal/threshold"
-	"repro/internal/trace"
 )
 
 // Config collects the knobs of the whole pipeline.
@@ -121,62 +119,10 @@ func Train(cfg Config, prog *isa.Program, in isa.Input, window int64, scheme cal
 	return TrainFeed(cfg, prog.Feeder(in), window, scheme)
 }
 
-// TrainFeed is Train over any stream source; the sweep executor passes
-// recorded streams here so the two training walks (profiling, then DAG
-// collection) replay one recording instead of regenerating the stream.
+// TrainFeed is Train over any stream source: a batch of one scheme
+// (TrainFeedBatch).
 func TrainFeed(cfg Config, src isa.Feeder, window int64, scheme calltree.Scheme) *Profile {
-	topo := cfg.Sim.Topo()
-	// Phase 1: build the call tree.
-	var t0 time.Time
-	if cfg.Observe != nil {
-		t0 = time.Now()
-	}
-	tree := profiler.ProfileFeed(src, window, scheme)
-	if cfg.Observe != nil {
-		cfg.Observe.ObservePhase("treewalk", time.Since(t0))
-	}
-
-	// Phase 2: full-speed simulated run with DAG collection + shaker.
-	// The shaker's per-domain power factors follow the topology unless
-	// the configuration already covers its scalable domains. Segment
-	// shakes fan out over the training pool; the Seq delivers histograms
-	// in submission order, so the reduction below sees exactly the
-	// sequence a serial run would (with TrainWorkers <= 1 the pool is
-	// synchronous and this is the serial run).
-	hists := make(map[*calltree.Node]*shaker.DomainHists)
-	pool := shaker.NewPool(shaker.ConfigFor(cfg.Shaker, topo), cfg.trainWorkers())
-	if obs := cfg.Observe; obs != nil {
-		pool.Observe = func(d time.Duration) { obs.ObservePhase("shake", d) }
-	}
-	defer pool.Close()
-	seq := pool.NewSeq()
-	collector := trace.NewCollector(tree, cfg.MaxInstances, cfg.MaxEvents, func(seg *trace.Segment) {
-		node := seg.Node
-		seq.Shake(seg, nil, func(h *shaker.DomainHists) {
-			addHists(hists, node, h)
-		})
-	})
-	collector.SetTopology(topo)
-	// Segments handed to the pool are deep-copied before the callback
-	// returns (and reduced inline when the pool is synchronous), so the
-	// collector can reuse one event arena for the whole run.
-	collector.RecycleSegments = true
-	m := sim.New(cfg.Sim)
-	m.SetTracer(collector)
-	m.SetMarkerSink(collector)
-	if cfg.Observe != nil {
-		t0 = time.Now()
-	}
-	src.Feed(&isa.CountingConsumer{Inner: m, Budget: window})
-	collector.Close()
-	seq.Close()
-	if cfg.Observe != nil {
-		cfg.Observe.ObservePhase("collect", time.Since(t0))
-	}
-
-	prof := &Profile{Scheme: scheme, Tree: tree, Hists: hists}
-	prof.Plan = Replan(prof, cfg.DeltaPct)
-	return prof
+	return TrainFeedBatch(cfg, src, window, []calltree.Scheme{scheme})[0]
 }
 
 // Replan reruns phase three (slowdown thresholding) and phase four (plan
@@ -265,12 +211,7 @@ func feedLane(l *Lane, src isa.Feeder, window int64) (sim.Result, EditStats) {
 // MCD-penalty experiment (mhz = full speed) and the global-DVS
 // comparator (mhz matched to a target run time).
 func RunSingleClock(cfg Config, prog *isa.Program, in isa.Input, window int64, mhz int) sim.Result {
-	return RunSingleClockFeed(cfg, prog.Feeder(in), window, mhz)
-}
-
-// RunSingleClockFeed is RunSingleClock over any stream source.
-func RunSingleClockFeed(cfg Config, src isa.Feeder, window int64, mhz int) sim.Result {
-	res, _ := feedLane(NewSingleClockLane(cfg, mhz), src, window)
+	res, _ := feedLane(NewSingleClockLane(cfg, mhz), prog.Feeder(in), window)
 	return res
 }
 
@@ -297,12 +238,7 @@ func RunOffline(cfg Config, prog *isa.Program, in isa.Input, window int64) (sim.
 
 // RunOnline simulates the hardware attack/decay controller.
 func RunOnline(cfg Config, prog *isa.Program, in isa.Input, window int64) sim.Result {
-	return RunOnlineFeed(cfg, prog.Feeder(in), window)
-}
-
-// RunOnlineFeed is RunOnline over any stream source.
-func RunOnlineFeed(cfg Config, src isa.Feeder, window int64) sim.Result {
-	res, _ := feedLane(NewOnlineLane(cfg), src, window)
+	res, _ := feedLane(NewOnlineLane(cfg), prog.Feeder(in), window)
 	return res
 }
 

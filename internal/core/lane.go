@@ -19,7 +19,7 @@ import (
 // Lane is one production simulation split into its two halves — the
 // consumer that eats the instruction stream and the finalization that
 // produces the result — so a caller can choose how the stream arrives:
-// a sequential Feed (the Run*Feed wrappers below) or one lockstep
+// a sequential Feed (RunBaselineFeed, RunEditedFeed) or one lockstep
 // replay driving many lanes from a single decoded pass
 // (isa.PackedStream.FeedLockstep). Both deliver item-for-item identical
 // streams, so the lane computes identical results either way.
@@ -98,10 +98,11 @@ func NewEditedLane(cfg Config, plan *edit.Plan, oracle bool) *Lane {
 	}}
 }
 
-// TrainFeedBatch trains one (program, input, window) stream under
-// several context schemes in a single batched pass. It produces exactly
-// the profiles TrainFeed would produce scheme by scheme, but shares the
-// two stream-shaped costs across the batch:
+// TrainFeedBatch runs phases one through four for one (program, input,
+// window) stream under one or more context schemes and returns one
+// profile per scheme. A batch produces exactly the profiles one-scheme
+// batches would produce scheme by scheme, but shares the two
+// stream-shaped costs across its schemes:
 //
 //   - Phase 2 (the full-speed simulated run with DAG collection) runs
 //     the machine once, fanning its trace to one collector per scheme.
@@ -117,33 +118,38 @@ func NewEditedLane(cfg Config, plan *edit.Plan, oracle bool) *Lane {
 //
 // Phase 1 (call-tree profiling) and phases 3-4 (thresholding and plan
 // construction) stay per-scheme; they are scheme-dependent and cheap.
+// A single scheme skips the memo and drives its collector directly
+// from the machine.
 //
-// With cfg.TrainWorkers > 1 the batch also runs internally parallel:
-// phase-1 profiling passes run concurrently (each replays the source
-// independently — Feeders are stateless), the one phase-2 machine pass
-// fans its trace to per-scheme collector goroutines through shared
-// read-only record blocks, and every collector fans its segment shakes
-// over one bounded shaker pool. Each collector drains its shakes in
-// strict submission order (shaker.Seq), so every worker count —
-// including 1, which collapses to the fully serial path — produces
-// bit-identical profiles.
+// Segment shakes fan out over a pool of cfg.TrainWorkers runners. With
+// more than one worker and more than one scheme the batch also runs
+// phase-1 profiling passes concurrently (each replays the source
+// independently — Feeders are stateless), and the one phase-2 machine
+// pass fans its trace to per-scheme collector goroutines through shared
+// read-only record blocks. Each collector drains its shakes in strict
+// submission order (shaker.Seq), so every worker count — including 1,
+// which collapses to the fully serial path — produces bit-identical
+// profiles.
 func TrainFeedBatch(cfg Config, src isa.Feeder, window int64, schemes []calltree.Scheme) []*Profile {
-	if len(schemes) == 1 {
-		return []*Profile{TrainFeed(cfg, src, window, schemes[0])}
-	}
 	topo := cfg.Sim.Topo()
 	workers := cfg.trainWorkers()
+	fanOut := workers > 1 && len(schemes) > 1
+	// The shaker's per-domain power factors follow the topology unless
+	// the configuration already covers its scalable domains.
 	pool := shaker.NewPool(shaker.ConfigFor(cfg.Shaker, topo), workers)
 	if obs := cfg.Observe; obs != nil {
 		pool.Observe = func(d time.Duration) { obs.ObservePhase("shake", d) }
 	}
 	defer pool.Close()
-	memo := newShakeMemo()
+	var memo *shakeMemo
+	if len(schemes) > 1 {
+		memo = newShakeMemo()
+	}
 	profs := make([]*Profile, len(schemes))
 	collectors := make([]*trace.Collector, len(schemes))
 	seqs := make([]*shaker.Seq, len(schemes))
 
-	// Phase 1 per scheme, fanned over the worker budget. The profiling
+	// Phase 1 per scheme: build the call tree. The profiling
 	// observation aggregates all schemes' walks into one duration.
 	var t0 time.Time
 	if cfg.Observe != nil {
@@ -166,7 +172,7 @@ func TrainFeedBatch(cfg Config, src isa.Feeder, window int64, schemes []calltree
 		collectors[i] = collector
 		seqs[i] = seq
 	}
-	if workers > 1 {
+	if fanOut {
 		var wg sync.WaitGroup
 		sem := make(chan struct{}, workers)
 		for i := range schemes {
@@ -190,11 +196,12 @@ func TrainFeedBatch(cfg Config, src isa.Feeder, window int64, schemes []calltree
 		t0 = time.Now()
 	}
 
-	// Phase 2, once: one machine pass fanned to every collector. The
+	// Phase 2, once: one machine pass observed by every collector. The
 	// parallel fan-out ships the identical record sequence to per-scheme
 	// lanes; each lane replays it into its collector in order, so every
 	// collector sees exactly the stream the serial tee delivers.
-	if workers > 1 {
+	m := sim.New(cfg.Sim)
+	if fanOut {
 		tee := newFanTee(len(schemes))
 		var wg sync.WaitGroup
 		for i := range schemes {
@@ -209,17 +216,20 @@ func TrainFeedBatch(cfg Config, src isa.Feeder, window int64, schemes []calltree
 				seqs[i].Close()
 			}(i)
 		}
-		m := sim.New(cfg.Sim)
 		m.SetTracer(tee)
 		m.SetMarkerSink(tee)
 		src.Feed(&isa.CountingConsumer{Inner: m, Budget: window})
 		tee.finish()
 		wg.Wait()
 	} else {
-		tee := &teeObserver{sinks: collectors}
-		m := sim.New(cfg.Sim)
-		m.SetTracer(tee)
-		m.SetMarkerSink(tee)
+		if len(collectors) == 1 {
+			m.SetTracer(collectors[0])
+			m.SetMarkerSink(collectors[0])
+		} else {
+			tee := &teeObserver{sinks: collectors}
+			m.SetTracer(tee)
+			m.SetMarkerSink(tee)
+		}
 		src.Feed(&isa.CountingConsumer{Inner: m, Budget: window})
 		for i, c := range collectors {
 			c.Close()
@@ -236,9 +246,9 @@ func TrainFeedBatch(cfg Config, src isa.Feeder, window int64, schemes []calltree
 	return profs
 }
 
-// addHists accumulates shaken histograms into the per-node table with
-// the same aliasing rule TrainFeed uses: the first entry for a node
-// takes ownership of h, later segments add into it.
+// addHists accumulates shaken histograms into the per-node table: the
+// first entry for a node takes ownership of h, later segments add into
+// it.
 func addHists(hists map[*calltree.Node]*shaker.DomainHists, node *calltree.Node, h *shaker.DomainHists) {
 	if prev, ok := hists[node]; ok {
 		prev.Add(h)
@@ -269,10 +279,14 @@ func newShakeMemo() *shakeMemo {
 
 // submit routes one collected segment: memo hits splice an ordered
 // wait-and-clone into the consumer's reduction; misses shake on the
-// pool, publishing the memo entry from the computing worker.
+// pool, publishing the memo entry from the computing worker. A nil memo
+// (a one-scheme batch) shakes every segment directly.
 func (mm *shakeMemo) submit(seq *shaker.Seq, seg *trace.Segment, hists map[*calltree.Node]*shaker.DomainHists) {
 	node := seg.Node
-	k, hashable := segmentKey(seg)
+	k, hashable := segKey{}, mm != nil
+	if hashable {
+		k, hashable = segmentKey(seg)
+	}
 	if !hashable {
 		seq.Shake(seg, nil, func(h *shaker.DomainHists) {
 			addHists(hists, node, h)

@@ -12,9 +12,10 @@ import (
 
 // TestTrainFeedBatchMatchesSequential is the batched-training contract:
 // a multi-scheme batch must produce profiles whose portable encodings
-// are byte-identical to scheme-by-scheme TrainFeed — the sweep layer
-// persists these bytes as artifacts, so any drift would poison the
-// artifact store.
+// are byte-identical to one-scheme batches trained scheme by scheme
+// (which shake every segment directly, without the cross-scheme memo)
+// — the sweep layer persists these bytes as artifacts, so any drift
+// would poison the artifact store.
 func TestTrainFeedBatchMatchesSequential(t *testing.T) {
 	b := workload.ByName("g721_decode")
 	cfg := DefaultConfig()
@@ -26,7 +27,7 @@ func TestTrainFeedBatchMatchesSequential(t *testing.T) {
 		t.Fatalf("TrainFeedBatch returned %d profiles, want %d", len(batch), len(schemes))
 	}
 	for i, scheme := range schemes {
-		seq := TrainFeed(cfg, src, b.TrainWindow, scheme)
+		seq := TrainFeedBatch(cfg, src, b.TrainWindow, []calltree.Scheme{scheme})[0]
 		want, err := EncodeProfile(seq)
 		if err != nil {
 			t.Fatal(err)
@@ -43,8 +44,8 @@ func TestTrainFeedBatchMatchesSequential(t *testing.T) {
 
 // TestLanesLockstepMatchSequentialRuns checks the production side of
 // batching: every lane kind, stepped in lockstep from one packed
-// stream, must produce exactly the result its sequential Run*Feed
-// counterpart produces.
+// stream, must produce exactly the result a sequential feed of the same
+// lane kind produces.
 func TestLanesLockstepMatchSequentialRuns(t *testing.T) {
 	b := workload.ByName("g721_decode")
 	cfg := DefaultConfig()
@@ -53,8 +54,8 @@ func TestLanesLockstepMatchSequentialRuns(t *testing.T) {
 	prof := TrainFeed(cfg, isa.RecordPacked(b.Prog, b.Train), b.TrainWindow, calltree.LF)
 
 	wantBase := RunBaselineFeed(cfg, src, b.RefWindow)
-	wantSC := RunSingleClockFeed(cfg, src, b.RefWindow, cfg.Sim.BaseMHz)
-	wantOn := RunOnlineFeed(cfg, src, b.RefWindow)
+	wantSC, _ := feedLane(NewSingleClockLane(cfg, cfg.Sim.BaseMHz), src, b.RefWindow)
+	wantOn, _ := feedLane(NewOnlineLane(cfg), src, b.RefWindow)
 	wantEd, wantSt := RunEditedFeed(cfg, src, b.RefWindow, prof.Plan, false)
 	wantOr, _ := RunEditedFeed(cfg, src, b.RefWindow, prof.Plan, true)
 

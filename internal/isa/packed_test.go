@@ -5,10 +5,43 @@ import (
 	"testing"
 )
 
+// tapeConsumer records everything it sees, tagging order.
+type tapeConsumer struct {
+	instrs  []Instr
+	markers []Marker
+	order   []byte // 'i' or 'm'
+	stopAt  int    // stop after this many instructions; 0 = never
+}
+
+func (c *tapeConsumer) Instr(ins *Instr) bool {
+	c.instrs = append(c.instrs, *ins)
+	c.order = append(c.order, 'i')
+	return c.stopAt == 0 || len(c.instrs) < c.stopAt
+}
+
+func (c *tapeConsumer) Marker(m Marker) bool {
+	c.markers = append(c.markers, m)
+	c.order = append(c.order, 'm')
+	return true
+}
+
+func streamProg() *Program {
+	b := NewBuilder("streamtest")
+	inner := b.Subroutine("inner")
+	b.SetBody(inner, b.Block(Branchy, 40))
+	main := b.Subroutine("main")
+	b.SetBody(main,
+		b.Block(Balanced, 25),
+		b.Loop(FixedTrips(3), b.Block(MemBound, 10), b.Call(inner)),
+		b.Block(FPHeavy, 15),
+	)
+	return b.Finish(main)
+}
+
 // TestPackedReplayIdentical is the packed stream's contract: replay
-// must be item-for-item identical to a generating walk and to a
-// Recording replay of the same walk — simulation results and sweep
-// cache keys depend on the three sources being indistinguishable.
+// must be item-for-item identical to a generating walk — simulation
+// results and sweep cache keys depend on the two sources being
+// indistinguishable.
 func TestPackedReplayIdentical(t *testing.T) {
 	prog := streamProg()
 	in := Input{Name: "train"}
@@ -19,7 +52,6 @@ func TestPackedReplayIdentical(t *testing.T) {
 	for name, s := range map[string]*PackedStream{
 		"recorded": RecordPacked(prog, in),
 		"sized":    RecordPackedSized(prog, in, int64(len(walked.instrs))),
-		"packed":   Pack(Record(prog, in)),
 	} {
 		var replayed tapeConsumer
 		s.Feed(&replayed)
@@ -95,14 +127,13 @@ func TestPackedFeedEarlyStop(t *testing.T) {
 
 // TestPackedFreqsRoundTrip checks that the rare frequency-carrying
 // instructions survive packing (they never appear in program walks, but
-// Pack must not silently drop them).
+// capture must not silently drop them).
 func TestPackedFreqsRoundTrip(t *testing.T) {
-	r := &Recording{}
-	w := (*streamRecorder)(r)
+	s := &PackedStream{}
+	w := (*packedRecorder)(s)
 	w.Instr(&Instr{Class: IntALU, PC: 4})
 	w.Instr(&Instr{Class: Reconfig, PC: 8, Freqs: []uint16{600, 1000}})
 	w.Instr(&Instr{Class: Load, PC: 12, Addr: 64})
-	s := Pack(r)
 
 	var got tapeConsumer
 	s.Feed(&got)
@@ -182,7 +213,10 @@ func (c *countOnly) Marker(Marker) bool { c.m++; return true }
 func TestLockstepSteadyStateAllocFree(t *testing.T) {
 	prog := streamProg()
 	short := RecordPacked(prog, Input{Name: "train"})
-	long := Pack(&Recording{instrs: make([]Instr, 8*short.Instructions())})
+	long := &PackedStream{}
+	for i := int64(0); i < 8*short.Instructions(); i++ {
+		(*packedRecorder)(long).Instr(&Instr{})
+	}
 
 	sinks := [4]countOnly{}
 	lanes := make([]StreamLane, len(sinks))

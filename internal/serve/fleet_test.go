@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/colseg"
 	"repro/internal/obs"
 	"repro/internal/serve/wire"
 	"repro/internal/sweep"
@@ -336,6 +337,42 @@ func TestFleetStrictFrames(t *testing.T) {
 	// Lease traffic from a worker that never registered.
 	if _, err := c.Heartbeat(ctx, "ls-1", "wk-404"); !errors.As(err, &ae) || ae.Code != wire.CodeUnknownWorker {
 		t.Fatalf("unknown worker: %v, want %s", err, wire.CodeUnknownWorker)
+	}
+}
+
+// TestFleetSegmentUploadBoundsDeclaredRows uploads a 44-byte segment
+// with valid checksums that declares 2^31 rows. The coordinator must
+// refuse it with a 4xx instead of sizing buffers by the row count, and
+// keep serving afterwards: liveness, sweep status lookups and a valid
+// segment upload all still answer.
+func TestFleetSegmentUploadBoundsDeclaredRows(t *testing.T) {
+	ctx := context.Background()
+	_, c := fleetServer(t, t.TempDir(), FleetConfig{})
+
+	w := colseg.NewWriter(1, 1<<31)
+	w.Column("id", nil)
+	var ae *APIError
+	err := c.PutSegment(ctx, w.Bytes())
+	if !errors.As(err, &ae) || ae.StatusCode < 400 || ae.StatusCode >= 500 {
+		t.Fatalf("huge-row upload: %v, want a 4xx", err)
+	}
+
+	if err := c.Healthz(); err != nil {
+		t.Fatalf("healthz after rejected upload: %v", err)
+	}
+	if _, err := c.Status("no-such-sweep"); !errors.As(err, &ae) || ae.StatusCode != http.StatusNotFound {
+		t.Fatalf("status after rejected upload: %v, want 404 unknown sweep", err)
+	}
+	cfg := (&sweep.Manifest{}).Config()
+	job := sweep.Job{Bench: workload.Names()[0], Policy: sweep.PolicyBaseline}
+	out := &sweep.Outcome{}
+	out.Res.Instructions = 1
+	good, err := sweep.EncodeSegment([]sweep.Merged{{Key: sweep.Key(cfg, job), Job: job, Outcome: out}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PutSegment(ctx, good); err != nil {
+		t.Fatalf("valid upload after rejected one: %v", err)
 	}
 }
 

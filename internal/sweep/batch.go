@@ -11,18 +11,19 @@ import (
 	"repro/internal/workload"
 )
 
-// Batched execution. A policy grid is anchor-shaped: most jobs are one
-// budgeted pass over the same benchmark's reference stream under
-// different machine configurations. planBatches groups ready jobs by
-// that (benchmark, input, window) anchor; runGroup resolves each group
-// by opening one Lane per job and stepping all of them in lockstep from
-// the group's shared decoded stream (isa.PackedStream.FeedLockstep), so
-// the grid pays stream decode and cache traffic once per anchor instead
-// of once per job. Per-job lockstep delivery is item-for-item identical
-// to a sequential feed, so outcomes — and therefore result-cache
-// entries, artifacts, and merged report bytes — are byte-identical to
-// unbatched execution; the engine's memo, persistent caches, dedup and
-// summary counters are shared with the sequential path, not forked.
+// Wave execution: the one path every job takes. A policy grid is
+// anchor-shaped: every job is one budgeted pass over a benchmark's
+// reference stream under some machine configuration. planBatches groups
+// valid jobs by benchmark; runGroup resolves each group wave by wave,
+// and runWave resolves one wave by claiming each job's singleflight,
+// serving what it can from the persistent layers, then opening one Lane
+// per remaining job and stepping all of them in lockstep from the
+// group's shared decoded stream (isa.PackedStream.FeedLockstep), so the
+// grid pays stream decode and cache traffic once per anchor instead of
+// once per job. Engine.Do is a wave of one through the same code. Per-lane
+// lockstep delivery is item-for-item identical to a lone replay, so
+// outcomes — and therefore result-cache entries, artifacts, and merged
+// report bytes — do not depend on the lockstep width or the grouping.
 
 // batchGroup is one anchor group: job indices that stream the same
 // benchmark's reference input, split into dependency waves. Wave 0
@@ -30,37 +31,30 @@ import (
 // (the global comparator needs its siblings' run times), which wave 0
 // resolves into the memo first.
 type batchGroup struct {
-	bench string
 	wave0 []int
 	wave1 []int
 }
 
-// planBatches partitions a job list into anchor groups and leftover
-// single indices. A job joins a group only when it validates and its
-// policy opens lanes; everything else — invalid jobs report their
-// validation error from the sequential path — stays single. Group
-// order follows first appearance, so scheduling stays deterministic.
+// planBatches partitions a job list into anchor groups and the indices
+// of jobs that fail validation (which Run reports without executing).
+// Group order follows first appearance, so scheduling stays
+// deterministic.
 func planBatches(cfg core.Config, jobs []Job) ([]*batchGroup, []int) {
-	var singles []int
+	var invalid []int
 	var order []string
 	byBench := make(map[string]*batchGroup)
 	for i, j := range jobs {
 		if j.Validate() != nil {
-			singles = append(singles, i)
-			continue
-		}
-		p, _ := PolicyByName(j.Policy)
-		if _, ok := p.(LanePolicy); !ok {
-			singles = append(singles, i)
+			invalid = append(invalid, i)
 			continue
 		}
 		g := byBench[j.Bench]
 		if g == nil {
-			g = &batchGroup{bench: j.Bench}
+			g = &batchGroup{}
 			byBench[j.Bench] = g
 			order = append(order, j.Bench)
 		}
-		if hasResultDep(cfg, p, j) {
+		if hasResultDep(cfg, j) {
 			g.wave1 = append(g.wave1, i)
 		} else {
 			g.wave0 = append(g.wave0, i)
@@ -70,12 +64,13 @@ func planBatches(cfg core.Config, jobs []Job) ([]*batchGroup, []int) {
 	for _, b := range order {
 		groups = append(groups, byBench[b])
 	}
-	return groups, singles
+	return groups, invalid
 }
 
-// hasResultDep reports whether a job depends on another job's result
-// (and therefore must wait for the group's first wave).
-func hasResultDep(cfg core.Config, p Policy, j Job) bool {
+// hasResultDep reports whether a validated job depends on another
+// job's result (and therefore must wait for the group's first wave).
+func hasResultDep(cfg core.Config, j Job) bool {
+	p, _ := PolicyByName(j.Policy)
 	for _, d := range p.Deps(cfg, j) {
 		if d.Job != nil {
 			return true
@@ -85,29 +80,33 @@ func hasResultDep(cfg core.Config, p Policy, j Job) bool {
 }
 
 // runGroup resolves one anchor group, wave by wave.
-func (e *Engine) runGroup(ctx context.Context, jobs []Job, g *batchGroup, width int, report reportFn) {
-	e.runWave(ctx, jobs, g.wave0, width, report)
-	e.runWave(ctx, jobs, g.wave1, width, report)
+func (e *Engine) runGroup(ctx context.Context, jobs []Job, g *batchGroup, report reportFn) {
+	e.runWave(ctx, jobs, g.wave0, report)
+	e.runWave(ctx, jobs, g.wave1, report)
 }
 
-// reportFn delivers one finished job to Run's bookkeeping.
+// reportFn delivers one finished job to its caller's bookkeeping.
 type reportFn func(i int, key string, out *Outcome, src Source, elapsed time.Duration, err error)
 
-// laneJob is one wave job this runner owns the flight for.
+// laneJob is one wave job: either the owner of its key's flight or a
+// joiner waiting on a flight someone else (or an earlier duplicate in
+// the wave) owns.
 type laneJob struct {
-	idx  int
-	key  string
-	f    *flight
-	lane *Lane
-	err  error
+	idx   int
+	key   string
+	f     *flight
+	owner bool
+	lane  *Lane
+	out   *Outcome
+	err   error
 }
 
-// runWave resolves one wave of an anchor group. Owned jobs — those
-// whose singleflight this call claims — resolve through the persistent
-// cache and then one lockstep replay; jobs whose key is already in
-// flight elsewhere (or duplicated within the wave) join the existing
-// flight through the ordinary keyed path after the owners finish.
-func (e *Engine) runWave(ctx context.Context, jobs []Job, idxs []int, width int, report reportFn) {
+// runWave resolves one wave of validated jobs sharing a benchmark.
+// Owned jobs — those whose singleflight this call claims — resolve
+// through the persistent layers and then one lockstep replay; jobs
+// whose key is already in flight elsewhere (or duplicated within the
+// wave) wait on that flight after the owners finish.
+func (e *Engine) runWave(ctx context.Context, jobs []Job, idxs []int, report reportFn) {
 	if len(idxs) == 0 {
 		return
 	}
@@ -118,34 +117,35 @@ func (e *Engine) runWave(ctx context.Context, jobs []Job, idxs []int, width int,
 		return
 	}
 	start := time.Now()
-	x := e.executor()
 
-	// Claim flights. Within-wave duplicates and keys already in flight
-	// join later instead of racing.
-	var owned []*laneJob
-	var joined []int
+	// Claim flights.
+	wave := make([]*laneJob, len(idxs))
 	e.mu.Lock()
 	if e.flight == nil {
 		e.flight = make(map[string]*flight)
 	}
-	for _, i := range idxs {
-		key := Key(e.Cfg, jobs[i])
-		if _, ok := e.flight[key]; ok {
-			joined = append(joined, i)
-			continue
+	for k, i := range idxs {
+		o := &laneJob{idx: i, key: Key(e.Cfg, jobs[i])}
+		if f, ok := e.flight[o.key]; ok {
+			o.f = f
+		} else {
+			o.f = &flight{done: make(chan struct{})}
+			o.owner = true
+			e.flight[o.key] = o.f
 		}
-		f := &flight{done: make(chan struct{})}
-		e.flight[key] = f
-		owned = append(owned, &laneJob{idx: i, key: key, f: f})
+		wave[k] = o
 	}
 	e.mu.Unlock()
 
-	// Serve owners from the persistent cache first; the remainder
+	// Serve owners from the persistent layers first; the remainder
 	// executes.
 	var pending []*laneJob
-	for _, o := range owned {
+	for _, o := range wave {
+		if !o.owner {
+			continue
+		}
 		if out, ok := e.segmentLookup(o.key); ok {
-			e.finishFlight(o, out, SourceDisk)
+			e.finishFlight(o, out)
 			report(o.idx, o.key, out, SourceDisk, time.Since(start), nil)
 			continue
 		}
@@ -154,8 +154,10 @@ func (e *Engine) runWave(ctx context.Context, jobs []Job, idxs []int, width int,
 			switch status {
 			case LoadHit:
 				e.nDisk.Add(1)
+				// Backfill: a JSON-only cache grows its segment layer
+				// over one warm run, no separate conversion pass needed.
 				e.bufferSegRow(o.key, jobs[o.idx], out)
-				e.finishFlight(o, out, SourceDisk)
+				e.finishFlight(o, out)
 				report(o.idx, o.key, out, SourceDisk, time.Since(start), nil)
 				continue
 			case LoadCorrupt:
@@ -166,58 +168,73 @@ func (e *Engine) runWave(ctx context.Context, jobs []Job, idxs []int, width int,
 	}
 
 	if len(pending) > 0 {
-		// The wave replays the anchor's reference stream, and profile
-		// dependencies replay a training stream; reserve both stream
-		// slots so concurrent groups cannot thrash the recording cache
-		// mid-batch.
-		x.reserveStreams(2)
-		e.resolveWave(jobs, pending, width)
-		x.reserveStreams(-2)
-		for _, o := range pending {
-			if o.err != nil {
-				e.failFlight(o)
-				report(o.idx, o.key, nil, SourceExecuted, time.Since(start), o.err)
-				continue
-			}
-			out, err := o.lane.Finish()
-			if err != nil {
-				o.err = fmt.Errorf("sweep: %s: %w", jobs[o.idx], err)
-				e.failFlight(o)
-				report(o.idx, o.key, nil, SourceExecuted, time.Since(start), o.err)
-				continue
-			}
-			e.nExecuted.Add(1)
-			if e.Cache != nil {
-				ps := time.Now()
-				err := e.Cache.Put(o.key, jobs[o.idx], out)
-				e.notePersist(o.key, jobs[o.idx], time.Since(ps), err)
-				if err != nil {
-					// Same contract as the sequential path: never throw
-					// finished work away over a persistence failure.
-					e.warnPersist(err)
-				} else {
-					e.bufferSegRow(o.key, jobs[o.idx], out)
-				}
-			}
-			e.finishFlight(o, out, SourceExecuted)
-			report(o.idx, o.key, out, SourceExecuted, time.Since(start), nil)
+		e.execute(jobs, pending)
+	}
+	for _, o := range pending {
+		if o.err != nil {
+			o.err = fmt.Errorf("sweep: %s: %w", jobs[o.idx], o.err)
+			e.failFlight(o)
+			report(o.idx, o.key, nil, SourceExecuted, time.Since(start), o.err)
+			continue
 		}
+		e.nExecuted.Add(1)
+		if e.Cache != nil {
+			ps := time.Now()
+			err := e.Cache.Put(o.key, jobs[o.idx], o.out)
+			e.notePersist(o.key, jobs[o.idx], time.Since(ps), err)
+			if err != nil {
+				// The simulation already succeeded; a persistence
+				// failure (full disk, lost permission) must not throw
+				// that work away. Keep the outcome memoized in process
+				// and warn once — a later merge will name any jobs that
+				// never landed.
+				e.warnPersist(err)
+			} else {
+				// Only rows the canonical JSON layer accepted enter the
+				// segment layer: segments must stay a strict subset of
+				// the oracle, never ahead of it.
+				e.bufferSegRow(o.key, jobs[o.idx], o.out)
+			}
+		}
+		e.finishFlight(o, o.out)
+		report(o.idx, o.key, o.out, SourceExecuted, time.Since(start), nil)
 	}
 
-	// Joined jobs resolve through the keyed path: by now their flights
-	// are closed (or owned by a concurrent call), so this is a memo wait.
-	for _, i := range joined {
+	// Joiners wait on their flight: by now the wave's own flights are
+	// closed, so only flights owned by a concurrent call can block.
+	for _, o := range wave {
+		if o.owner {
+			continue
+		}
 		s := time.Now()
-		key := Key(e.Cfg, jobs[i])
-		out, src, err := e.doKeyed(key, jobs[i])
-		report(i, key, out, src, time.Since(s), err)
+		<-o.f.done
+		report(o.idx, o.key, o.f.out, SourceMemory, time.Since(s), o.f.err)
 	}
 }
 
-// resolveWave resolves dependencies, opens lanes, and drives the wave's
-// lockstep replay. Per-job failures land in laneJob.err; the batch
-// keeps going for the rest.
-func (e *Engine) resolveWave(jobs []Job, pending []*laneJob, width int) {
+// execute computes the outcomes of a wave's cache-missed jobs into
+// laneJob.out (or laneJob.err, per job). ExecFn, when set, replaces
+// exactly this step.
+func (e *Engine) execute(jobs []Job, pending []*laneJob) {
+	if e.ExecFn != nil {
+		for _, o := range pending {
+			o.out, o.err = e.ExecFn(jobs[o.idx])
+		}
+		return
+	}
+	// The wave replays the anchor's reference stream, and profile
+	// dependencies replay a training stream; reserve both stream slots
+	// so concurrent groups cannot thrash the recording cache mid-wave.
+	x := e.executor()
+	x.reserveStreams(2)
+	e.resolveWave(jobs, pending)
+	x.reserveStreams(-2)
+}
+
+// resolveWave resolves dependencies, opens lanes, drives the wave's
+// lockstep replay, and finishes each lane. Per-job failures land in
+// laneJob.err; the wave keeps going for the rest.
+func (e *Engine) resolveWave(jobs []Job, pending []*laneJob) {
 	x := e.executor()
 
 	// Batch-train the wave's missing profile dependencies: distinct
@@ -236,90 +253,86 @@ func (e *Engine) resolveWave(jobs []Job, pending []*laneJob, width int) {
 	x.profileBatch(specs)
 
 	// Resolve each job's dependencies (profiles now memoized; result
-	// deps were closed by the previous wave) and open its lane.
+	// deps were closed by the previous wave, or resolve here as waves
+	// of one) and open its lane.
 	var lanes []*laneJob
 	for _, o := range pending {
 		job := jobs[o.idx]
 		p, _ := PolicyByName(job.Policy)
-		lp, _ := p.(LanePolicy)
 		deps := p.Deps(e.Cfg, job)
 		resolved := make([]Resolved, len(deps))
 		for i, d := range deps {
 			if d.Profile != nil {
-				prof, err := x.profile(*d.Profile)
-				if err != nil {
-					o.err = fmt.Errorf("sweep: %s: %w", job, err)
-					break
-				}
-				resolved[i].Profile = prof
+				resolved[i].Profile, o.err = x.profile(*d.Profile)
 			} else {
-				out, _, err := e.Do(*d.Job)
-				if err != nil {
-					o.err = fmt.Errorf("sweep: %s: %w", job, err)
-					break
-				}
-				resolved[i].Outcome = out
+				resolved[i].Outcome, _, o.err = e.Do(*d.Job)
+			}
+			if o.err != nil {
+				break
 			}
 		}
 		if o.err != nil {
 			continue
 		}
-		ln, err := lp.OpenLane(x, job, resolved)
-		if err != nil {
-			o.err = fmt.Errorf("sweep: %s: %w", job, err)
-			continue
+		if o.lane, o.err = p.OpenLane(x, job, resolved); o.err == nil {
+			lanes = append(lanes, o)
 		}
-		o.lane = ln
-		lanes = append(lanes, o)
 	}
 	if len(lanes) == 0 {
 		return
 	}
 
 	// One lockstep replay per chunk of the shared decoded stream.
-	b := workload.ByName(jobs[lanes[0].idx].Bench)
-	stream := x.packed(b, true)
+	stream := x.packed(workload.ByName(jobs[lanes[0].idx].Bench), true)
+	width := e.laneWidth()
 	for at := 0; at < len(lanes); at += width {
-		hi := at + width
-		if hi > len(lanes) {
-			hi = len(lanes)
-		}
-		chunk := lanes[at:hi]
+		chunk := lanes[at:min(at+width, len(lanes))]
 		sl := make([]isa.StreamLane, len(chunk))
 		for k, o := range chunk {
 			sl[k] = isa.StreamLane{Consumer: o.lane.Consumer, Budget: o.lane.Budget}
 		}
 		cs := time.Now()
 		stream.FeedLockstep(sl)
-		d := time.Since(cs)
-		e.phases.simNS.Add(int64(d))
+		d := int64(time.Since(cs))
+		e.phases.simNS.Add(d)
 		if tr := e.Trace; tr != nil {
-			// One simulate span per lane, all sharing the chunk's window:
-			// the lanes stepped together, so the chunk duration is each
-			// job's lockstep cost and every job keeps a complete span tree.
-			for _, o := range chunk {
+			// The lanes shared one pass, so each lane's simulate span is
+			// an equal slice of the chunk's window (the remainder on the
+			// last): the spans tile the chunk and sum to its duration
+			// exactly, so shared work is counted once.
+			share := d / int64(len(chunk))
+			t0 := tr.Now() - d
+			for k, o := range chunk {
+				dur := share
+				if k == len(chunk)-1 {
+					dur = d - share*int64(k)
+				}
 				tr.Emit(obs.Span{
 					Key:     o.key,
 					Phase:   "simulate",
 					Policy:  jobs[o.idx].Policy,
 					Bench:   jobs[o.idx].Bench,
 					Outcome: "lockstep",
-					StartNS: tr.Now() - int64(d),
-					DurNS:   int64(d),
+					StartNS: t0 + share*int64(k),
+					DurNS:   dur,
 				})
 			}
 		}
 	}
+	for _, o := range lanes {
+		o.out, o.err = o.lane.Finish()
+	}
 }
 
 // finishFlight publishes an owned flight's outcome to waiters.
-func (e *Engine) finishFlight(o *laneJob, out *Outcome, src Source) {
-	o.f.out, o.f.src = out, src
+func (e *Engine) finishFlight(o *laneJob, out *Outcome) {
+	o.f.out = out
 	close(o.f.done)
 }
 
 // failFlight publishes an owned flight's error and drops it so a later
-// call can retry.
+// call can retry (e.g. after a permission problem on the cache
+// directory is fixed).
 func (e *Engine) failFlight(o *laneJob) {
 	o.f.err = o.err
 	close(o.f.done)

@@ -12,16 +12,18 @@ import (
 	"repro/internal/arch"
 )
 
-// TestBatchedMatchesSequential is the batching acceptance gate: for
-// every built-in topology, a full policy grid run with lockstep
-// batching must be indistinguishable on disk and in memory from the
-// same grid run job-by-job — identical per-job outcomes, identical
-// result-cache entry bytes, identical artifact-store bytes, and the
-// same executed/error counts. Batching is a throughput optimization
-// only; any divergence here is a correctness bug, not a tuning matter.
+// TestBatchedMatchesSequential is the width-invariance gate: for every
+// built-in topology, a full policy grid must come out identical three
+// ways — stepped one lane at a time (width 1), stepped at the automatic
+// lockstep width, and resolved job by job through Engine.Do (waves of
+// one). Identical means the same per-job outcomes, the same
+// result-cache entry bytes, the same artifact-store bytes, and the same
+// executed/error counts. The width and the grouping are throughput
+// choices only; any divergence here is a correctness bug, not a tuning
+// matter.
 func TestBatchedMatchesSequential(t *testing.T) {
 	if testing.Short() {
-		t.Skip("trains two profiles per topology, twice")
+		t.Skip("trains two profiles per topology, three times")
 	}
 	for _, name := range arch.TopologyNames() {
 		t.Run(name, func(t *testing.T) {
@@ -36,31 +38,52 @@ func TestBatchedMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := m.Config()
-			run := func(dir string, opts ...RunOption) ([]*Outcome, Summary) {
+			engine := func(dir string) *Engine {
 				eng := New(cfg)
 				eng.Cache = &Cache{Dir: dir}
 				eng.Artifacts = ArtifactStore(dir)
-				outs, sum, err := eng.Run(context.Background(), jobs, opts...)
+				return eng
+			}
+			run := func(dir string, width int) ([]*Outcome, Summary) {
+				eng := engine(dir)
+				eng.width = width
+				outs, sum, err := eng.Run(context.Background(), jobs)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return outs, sum
 			}
-			dirSeq, dirBat := t.TempDir(), t.TempDir()
-			seqOuts, seqSum := run(dirSeq, WithBatching(0))
-			batOuts, batSum := run(dirBat) // automatic lockstep width
+			dirOne, dirAuto, dirDo := t.TempDir(), t.TempDir(), t.TempDir()
+			oneOuts, oneSum := run(dirOne, 1)
+			autoOuts, autoSum := run(dirAuto, 0)
+
+			eng := engine(dirDo)
+			doOuts := make([]*Outcome, len(jobs))
+			doSum := Summary{Jobs: len(jobs)}
+			for i, j := range jobs {
+				out, _, err := eng.Do(j)
+				if err != nil {
+					doSum.Errors++
+				}
+				doOuts[i] = out
+			}
+			doSum.Executed = int(eng.nExecuted.Load())
 
 			for i := range jobs {
-				a, _ := json.Marshal(seqOuts[i])
-				b, _ := json.Marshal(batOuts[i])
-				if !bytes.Equal(a, b) {
-					t.Errorf("%s: outcome diverged\nseq %s\nbat %s", jobs[i], a, b)
+				a, _ := json.Marshal(oneOuts[i])
+				b, _ := json.Marshal(autoOuts[i])
+				c, _ := json.Marshal(doOuts[i])
+				if !bytes.Equal(a, b) || !bytes.Equal(a, c) {
+					t.Errorf("%s: outcome diverged\nwidth 1 %s\nauto    %s\nDo      %s", jobs[i], a, b, c)
 				}
 			}
-			if seqSum.Executed != batSum.Executed || seqSum.Errors != batSum.Errors {
-				t.Errorf("summary diverged: seq %+v bat %+v", seqSum, batSum)
+			for _, s := range []Summary{autoSum, doSum} {
+				if s.Executed != oneSum.Executed || s.Errors != oneSum.Errors {
+					t.Errorf("summary diverged: width 1 %+v vs %+v", oneSum, s)
+				}
 			}
-			compareTrees(t, dirSeq, dirBat)
+			compareTrees(t, dirOne, dirAuto)
+			compareTrees(t, dirOne, dirDo)
 		})
 	}
 }
@@ -95,16 +118,16 @@ func compareTrees(t *testing.T, dirA, dirB string) {
 	for rel, ab := range a {
 		bb, ok := b[rel]
 		if !ok {
-			t.Errorf("batched cache missing %s", rel)
+			t.Errorf("second cache missing %s", rel)
 			continue
 		}
 		if !bytes.Equal(ab, bb) {
-			t.Errorf("cache entry %s differs between sequential and batched runs", rel)
+			t.Errorf("cache entry %s differs between the two runs", rel)
 		}
 	}
 	for rel := range b {
 		if _, ok := a[rel]; !ok {
-			t.Errorf("batched cache has extra entry %s", rel)
+			t.Errorf("second cache has extra entry %s", rel)
 		}
 	}
 }

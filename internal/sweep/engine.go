@@ -112,8 +112,11 @@ type Engine struct {
 	// store serves every config and topology. Corrupt entries count into
 	// Summary.CorruptEntries and are rewritten from a fresh walk.
 	Streams *StreamStore
-	// ExecFn overrides the built-in policy executor (tests use this to
-	// count executions without running the simulator).
+	// ExecFn, when non-nil, replaces the built-in execution step of the
+	// one job path — resolve dependencies, open the lane, feed it — for
+	// cache-missed jobs; flight claims, cache lookups, persistence and
+	// segment buffering run as usual (tests use this to count executions
+	// without running the simulator).
 	ExecFn func(Job) (*Outcome, error)
 	// Trace, when non-nil, records span-level phase timing into a
 	// bounded ring (internal/obs): one span per job plus spans for each
@@ -133,6 +136,10 @@ type Engine struct {
 
 	execOnce sync.Once
 	exec     *executor
+
+	// width bounds how many lanes one lockstep pass steps together; 0
+	// means autoBatchWidth. Outcomes do not depend on it.
+	width int
 
 	// nExecuted, nDisk and nCorrupt count resolutions engine-wide; Run
 	// reports them as before/after deltas so dependency jobs are
@@ -160,7 +167,6 @@ type Engine struct {
 type flight struct {
 	done chan struct{}
 	out  *Outcome
-	src  Source
 	err  error
 }
 
@@ -213,88 +219,20 @@ func (e *Engine) Profile(spec ProfileSpec) (*core.Profile, error) {
 }
 
 // Do returns the outcome of one job, consulting the in-process memo,
-// then the persistent cache, then executing. Concurrent calls for the
-// same key share a single execution.
+// then the persistent cache, then executing. It is a wave of one
+// through the same path Run uses; concurrent calls for the same key
+// share a single execution.
 func (e *Engine) Do(job Job) (*Outcome, Source, error) {
 	if err := job.Validate(); err != nil {
 		return nil, SourceMemory, err
 	}
-	return e.doKeyed(Key(e.Cfg, job), job)
-}
-
-// doKeyed is Do after validation, for callers that already derived the
-// job's key (Run hands it to the completion callback, and key
-// derivation marshals the full config — not worth doing twice per job).
-func (e *Engine) doKeyed(key string, job Job) (*Outcome, Source, error) {
-	e.mu.Lock()
-	if e.flight == nil {
-		e.flight = make(map[string]*flight)
-	}
-	if f, ok := e.flight[key]; ok {
-		e.mu.Unlock()
-		<-f.done
-		if f.err != nil {
-			return nil, SourceMemory, f.err
-		}
-		return f.out, SourceMemory, nil
-	}
-	f := &flight{done: make(chan struct{})}
-	e.flight[key] = f
-	e.mu.Unlock()
-
-	f.out, f.src, f.err = e.resolve(key, job)
-	close(f.done)
-	if f.err != nil {
-		// Drop failed flights so a later call can retry (e.g. after a
-		// permission problem on the cache directory is fixed).
-		e.mu.Lock()
-		delete(e.flight, key)
-		e.mu.Unlock()
-		return nil, f.src, f.err
-	}
-	return f.out, f.src, nil
-}
-
-func (e *Engine) resolve(key string, job Job) (*Outcome, Source, error) {
-	if out, ok := e.segmentLookup(key); ok {
-		return out, SourceDisk, nil
-	}
-	if e.Cache != nil {
-		out, status := e.Cache.Load(key)
-		switch status {
-		case LoadHit:
-			e.nDisk.Add(1)
-			// Backfill: a JSON-only cache grows its segment layer over
-			// one warm run, no separate conversion pass needed.
-			e.bufferSegRow(key, job, out)
-			return out, SourceDisk, nil
-		case LoadCorrupt:
-			e.noteCorrupt(e.Cache.EntryPath(key))
-		}
-	}
-	out, err := e.executeJob(key, job)
-	if err != nil {
-		return nil, SourceExecuted, fmt.Errorf("sweep: %s: %w", job, err)
-	}
-	e.nExecuted.Add(1)
-	if e.Cache != nil {
-		start := time.Now()
-		err := e.Cache.Put(key, job, out)
-		e.notePersist(key, job, time.Since(start), err)
-		if err != nil {
-			// The simulation already succeeded; a persistence failure
-			// (full disk, lost permission) must not throw that work
-			// away. Keep the outcome memoized in process and warn once
-			// — a later merge will name any jobs that never landed.
-			e.warnPersist(err)
-		} else {
-			// Only rows the canonical JSON layer accepted enter the
-			// segment layer: segments must stay a strict subset of the
-			// oracle, never ahead of it.
-			e.bufferSegRow(key, job, out)
-		}
-	}
-	return out, SourceExecuted, nil
+	var out *Outcome
+	var src Source
+	var err error
+	e.runWave(context.TODO(), []Job{job}, []int{0}, func(_ int, _ string, o *Outcome, s Source, _ time.Duration, er error) {
+		out, src, err = o, s, er
+	})
+	return out, src, err
 }
 
 // notePersist accounts one result-cache write in the phase breakdown
@@ -380,24 +318,12 @@ func (e *Engine) flushSegments() {
 	}
 }
 
-// executeJob dispatches one cache-missed job to the ExecFn override or
-// the built-in executor (which correlates its simulate span to key).
-func (e *Engine) executeJob(key string, job Job) (*Outcome, error) {
-	if e.ExecFn != nil {
-		return e.ExecFn(job)
-	}
-	return e.executor().executeKeyed(key, job)
-}
-
 // RunOption configures one Run call.
 type RunOption func(*runConfig)
 
 type runConfig struct {
-	onDone   func(JobDone)
-	pool     *WorkerPool
-	poolSet  bool
-	batch    int
-	batchSet bool
+	onDone func(JobDone)
+	pool   *WorkerPool
 }
 
 // WithOnDone streams per-job completions: fn is invoked once per job in
@@ -412,19 +338,7 @@ func WithOnDone(fn func(JobDone)) RunOption {
 // of per-call workers (nil, or an absent option, keeps per-call
 // workers).
 func WithPool(p *WorkerPool) RunOption {
-	return func(rc *runConfig) { rc.pool, rc.poolSet = p, true }
-}
-
-// WithBatching bounds how many jobs one lockstep pass steps together:
-// ready jobs that share a (benchmark, input, window) anchor are grouped
-// and simulated in lockstep from one decoded stream, n lanes at a time.
-// n == 0 disables batching (every job resolves alone); n < 0 or an
-// absent option picks the automatic width. Batched and sequential
-// execution produce byte-identical results, cache entries, and
-// artifacts — the option only trades memory (n live machines) against
-// stream-decode and cache-traffic savings.
-func WithBatching(n int) RunOption {
-	return func(rc *runConfig) { rc.batch, rc.batchSet = n, true }
+	return func(rc *runConfig) { rc.pool = p }
 }
 
 // autoBatchWidth is the default lockstep width: wide enough to cover
@@ -432,25 +346,26 @@ func WithBatching(n int) RunOption {
 // machines' state stays modest.
 const autoBatchWidth = 32
 
+// laneWidth resolves the engine's lockstep width.
+func (e *Engine) laneWidth() int {
+	if e.width > 0 {
+		return e.width
+	}
+	return autoBatchWidth
+}
+
 // Run resolves a batch of jobs and returns their outcomes in input
 // order plus a summary of cache behavior. Individual job failures leave
 // a nil outcome at that index; the joined error reports all of them.
-// Options select streaming callbacks (WithOnDone), the worker pool
-// (WithPool), and lockstep batching (WithBatching). A canceled ctx
-// fails jobs that have not started with ctx.Err(); work already in
-// flight completes and is cached normally.
+// Options select streaming callbacks (WithOnDone) and the worker pool
+// (WithPool). Jobs sharing a benchmark resolve together, stepped in
+// lockstep from one decoded stream; jobs on different benchmarks run
+// concurrently. A canceled ctx fails jobs that have not started with
+// ctx.Err(); work already in flight completes and is cached normally.
 func (e *Engine) Run(ctx context.Context, jobs []Job, opts ...RunOption) ([]*Outcome, Summary, error) {
 	rc := runConfig{}
 	for _, o := range opts {
 		o(&rc)
-	}
-	var pool *WorkerPool
-	if rc.poolSet {
-		pool = rc.pool
-	}
-	width := autoBatchWidth
-	if rc.batchSet && rc.batch >= 0 {
-		width = rc.batch
 	}
 
 	outs := make([]*Outcome, len(jobs))
@@ -496,49 +411,23 @@ func (e *Engine) Run(ctx context.Context, jobs []Job, opts ...RunOption) ([]*Out
 			cbMu.Unlock()
 		}
 	}
-	do := func(i int) {
-		start := time.Now()
-		var key string
-		var out *Outcome
-		src := SourceMemory // matches Do's label for validation failures
-		err := ctx.Err()
-		if err == nil {
-			err = jobs[i].Validate()
-		}
-		if err == nil {
-			key = Key(e.Cfg, jobs[i])
-			out, src, err = e.doKeyed(key, jobs[i])
-		}
-		report(i, key, out, src, time.Since(start), err)
+	// Jobs that fail validation report here; every other job resolves
+	// inside its benchmark's anchor group, one schedulable unit each.
+	groups, invalid := planBatches(e.Cfg, jobs)
+	for _, i := range invalid {
+		report(i, "", nil, SourceMemory, 0, jobs[i].Validate())
 	}
-
-	// Partition the batch into schedulable units: anchor groups stepped
-	// in lockstep, and single jobs. The built-in executor is required
-	// for batching — an ExecFn override bypasses lanes entirely.
-	var units []func()
-	if width > 0 && e.ExecFn == nil {
-		groups, singles := planBatches(e.Cfg, jobs)
-		for _, i := range singles {
-			i := i
-			units = append(units, func() { do(i) })
-		}
-		for _, g := range groups {
-			g := g
-			units = append(units, func() { e.runGroup(ctx, jobs, g, width, report) })
-		}
-	} else {
-		for i := range jobs {
-			i := i
-			units = append(units, func() { do(i) })
-		}
+	units := make([]func(), len(groups))
+	for k, g := range groups {
+		units[k] = func() { e.runGroup(ctx, jobs, g, report) }
 	}
 
 	var wg sync.WaitGroup
-	if pool != nil {
+	if rc.pool != nil {
 		for _, u := range units {
 			u := u
 			wg.Add(1)
-			pool.Submit(func() {
+			rc.pool.Submit(func() {
 				defer wg.Done()
 				u()
 			})

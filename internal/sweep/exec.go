@@ -15,10 +15,11 @@ import (
 	"repro/internal/workload"
 )
 
-// executor is the engine's Runtime: it resolves a job's declared
-// dependencies and hands the resolved values to the job's policy.
-// Training (phases one and two) is delta-independent and by far the
-// most expensive part of a profile-driven job, so trained profiles
+// executor is the engine's Runtime (configuration and replanning for
+// policies' lanes), and it resolves what waves need besides results:
+// trained profiles and packed streams. Training (phases one and two)
+// is delta-independent and by far the most expensive part of a
+// profile-driven job, so trained profiles
 // resolve through two layers keyed by their content-addressed artifact
 // key: an in-process memo with per-key singleflight, then the engine's
 // persistent artifact store — a threshold sweep trains once and replans
@@ -96,15 +97,9 @@ func newExecutor(e *Engine) *executor {
 // Config returns the engine configuration (Runtime).
 func (x *executor) Config() core.Config { return x.eng.Cfg }
 
-// Feeder returns a replayable stream for one benchmark input, recording
-// it on first use (Runtime). Concurrent requests for the same stream
-// share one recording.
-func (x *executor) Feeder(b *workload.Benchmark, ref bool) isa.Feeder {
-	return x.packed(b, ref)
-}
-
-// packed is Feeder with the concrete packed-stream type, which the
-// batch executor needs for lockstep replay.
+// packed returns the replayable packed stream of one benchmark input,
+// recording (or loading) it on first use. Concurrent requests for the
+// same stream share one recording.
 func (x *executor) packed(b *workload.Benchmark, ref bool) *isa.PackedStream {
 	in, window := b.Train, b.TrainWindow
 	if ref {
@@ -201,16 +196,16 @@ func (x *executor) loadOrRecordStream(b *workload.Benchmark, in isa.Input, windo
 }
 
 // profile resolves one trained profile: in-process memo (with per-key
-// singleflight), then the persistent artifact store, then training —
-// which persists the new artifact so sibling processes sharing the
-// store directory never retrain it.
+// singleflight), then the persistent artifact store, then training — a
+// batch of one through the same path as profileBatch — which persists
+// the new artifact so sibling processes sharing the store directory
+// never retrain it.
 func (x *executor) profile(spec ProfileSpec) (*core.Profile, error) {
 	b := workload.ByName(spec.Bench)
 	if b == nil {
 		return nil, fmt.Errorf("unknown benchmark %q", spec.Bench)
 	}
-	scheme, ok := SchemeByName(spec.Scheme)
-	if !ok {
+	if _, ok := SchemeByName(spec.Scheme); !ok {
 		return nil, fmt.Errorf("unknown context scheme %q", spec.Scheme)
 	}
 	key := spec.ArtifactKey(x.eng.Cfg)
@@ -222,13 +217,12 @@ func (x *executor) profile(spec ProfileSpec) (*core.Profile, error) {
 		x.noteProfile(key, spec.Bench, "memo", time.Since(start))
 		return f.prof, nil
 	}
-	f := &profFlight{done: make(chan struct{})}
-	x.profiles[key] = f
+	c := profClaim{spec, key, &profFlight{done: make(chan struct{})}, b}
+	x.profiles[key] = c.f
 	x.mu.Unlock()
 
-	f.prof = x.resolveProfile(key, spec, b, scheme)
-	close(f.done)
-	return f.prof, nil
+	x.resolveClaims([]profClaim{c})
+	return c.f.prof, nil
 }
 
 // noteProfile accounts one profile-dependency resolution in the phase
@@ -252,30 +246,6 @@ func (x *executor) noteProfile(key, bench, outcome string, d time.Duration) {
 			DurNS:   int64(d),
 		})
 	}
-}
-
-// resolveProfile loads a stored profile or trains and stores a new one.
-// Store damage is never fatal: corrupt entries are counted, surfaced
-// once, and overwritten by the fresh training.
-func (x *executor) resolveProfile(key string, spec ProfileSpec, b *workload.Benchmark, scheme calltree.Scheme) *core.Profile {
-	start := time.Now()
-	if prof := x.loadStored(key); prof != nil {
-		x.noteProfile(key, spec.Bench, "artifact", time.Since(start))
-		return prof
-	}
-	_, window := spec.inputWindow(b)
-	// Resolve the stream before the training window opens so stream
-	// decode time stays in the "stream" phase, not in "train".
-	feed := x.Feeder(b, spec.OnRef)
-	cfg := x.eng.Cfg
-	sink := &phaseSink{e: x.eng, key: key, bench: spec.Bench}
-	cfg.Observe = sink
-	t0 := time.Now()
-	prof := core.TrainFeed(cfg, feed, window, scheme)
-	sink.finish(time.Since(t0))
-	x.persistProfile(key, prof)
-	x.noteProfile(key, spec.Bench, "trained", time.Since(start))
-	return prof
 }
 
 // loadStored resolves a profile from the artifact store, replanning at
@@ -319,22 +289,20 @@ func (x *executor) persistProfile(key string, prof *core.Profile) {
 	}
 }
 
+// profClaim is one profile flight the caller owns and must resolve.
+type profClaim struct {
+	spec ProfileSpec
+	key  string
+	f    *profFlight
+	b    *workload.Benchmark
+}
+
 // profileBatch resolves several trained profiles at once, batching the
-// trainings that miss every cache layer: specs sharing one training
-// stream (benchmark, input) train in a single multi-scheme pass
-// (core.TrainFeedBatch) that shares the phase-2 collection run and the
-// shake work across schemes, producing byte-identical artifacts to
-// spec-by-spec training. Specs already memoized, in flight, or stored
-// resolve as x.profile would; invalid specs (unknown benchmark or
+// trainings that miss every cache layer. Specs already memoized or in
+// flight are left to their owners; invalid specs (unknown benchmark or
 // scheme) are skipped so the per-job path surfaces their error.
 func (x *executor) profileBatch(specs []ProfileSpec) {
-	type claim struct {
-		spec ProfileSpec
-		key  string
-		f    *profFlight
-		b    *workload.Benchmark
-	}
-	var mine []claim
+	var mine []profClaim
 	x.mu.Lock()
 	for _, spec := range specs {
 		b := workload.ByName(spec.Bench)
@@ -347,10 +315,20 @@ func (x *executor) profileBatch(specs []ProfileSpec) {
 		}
 		f := &profFlight{done: make(chan struct{})}
 		x.profiles[key] = f
-		mine = append(mine, claim{spec, key, f, b})
+		mine = append(mine, profClaim{spec, key, f, b})
 	}
 	x.mu.Unlock()
+	x.resolveClaims(mine)
+}
 
+// resolveClaims resolves owned profile flights: stored artifacts load,
+// and the rest train, specs sharing one training stream (benchmark,
+// input) in a single multi-scheme pass (core.TrainFeedBatch) that
+// shares the phase-2 collection run and the shake work across schemes,
+// producing byte-identical artifacts to spec-by-spec training. Store
+// damage is never fatal: corrupt entries are counted, surfaced once,
+// and overwritten by the fresh training.
+func (x *executor) resolveClaims(mine []profClaim) {
 	// Serve claims from the artifact store; group the rest by training
 	// stream.
 	groups := make(map[string][]int)
@@ -382,7 +360,9 @@ func (x *executor) profileBatch(specs []ProfileSpec) {
 			schemes[k], _ = SchemeByName(mine[i].spec.Scheme)
 		}
 		_, window := first.spec.inputWindow(first.b)
-		feed := x.Feeder(first.b, first.spec.OnRef)
+		// Resolve the stream before the training window opens so stream
+		// decode time stays in the "stream" phase, not in "train".
+		feed := x.packed(first.b, first.spec.OnRef)
 		cfg := x.eng.Cfg
 		sink := &phaseSink{e: x.eng, key: first.key, bench: first.spec.Bench}
 		cfg.Observe = sink
@@ -410,62 +390,4 @@ func (x *executor) Plan(prof *core.Profile, delta float64) *edit.Plan {
 		return prof.Plan
 	}
 	return core.Replan(prof, delta)
-}
-
-// execute runs one cache-missed job to completion: resolve the job
-// policy's declared dependencies — result dependencies through the
-// engine (cached and shared like any other job), profile dependencies
-// through the artifact layers — then let the policy build its outcome.
-func (x *executor) execute(job Job) (*Outcome, error) {
-	return x.executeKeyed("", job)
-}
-
-// executeKeyed is execute with the job's already-derived cache key, so
-// the sequential simulation span can be correlated to its job.
-func (x *executor) executeKeyed(key string, job Job) (*Outcome, error) {
-	if workload.ByName(job.Bench) == nil {
-		return nil, fmt.Errorf("unknown benchmark %q", job.Bench)
-	}
-	p, ok := PolicyByName(job.Policy)
-	if !ok {
-		return nil, fmt.Errorf("unknown policy %q", job.Policy)
-	}
-	deps := p.Deps(x.eng.Cfg, job)
-	resolved := make([]Resolved, len(deps))
-	for i, d := range deps {
-		if d.Profile != nil {
-			prof, err := x.profile(*d.Profile)
-			if err != nil {
-				return nil, err
-			}
-			resolved[i].Profile = prof
-		} else {
-			out, _, err := x.eng.Do(*d.Job)
-			if err != nil {
-				return nil, err
-			}
-			resolved[i].Outcome = out
-		}
-	}
-	start := time.Now()
-	out, err := p.Run(x, job, resolved)
-	d := time.Since(start)
-	e := x.eng
-	e.phases.simNS.Add(int64(d))
-	if tr := e.Trace; tr != nil {
-		outcome := "simulated"
-		if err != nil {
-			outcome = "error"
-		}
-		tr.Emit(obs.Span{
-			Key:     key,
-			Phase:   "simulate",
-			Policy:  job.Policy,
-			Bench:   job.Bench,
-			Outcome: outcome,
-			StartNS: tr.Now() - int64(d),
-			DurNS:   int64(d),
-		})
-	}
-	return out, err
 }

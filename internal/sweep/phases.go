@@ -12,7 +12,7 @@ import (
 // PhaseBreakdown is an engine's cumulative wall-clock by pipeline
 // phase, plus the hit counters that explain where the time went. It is
 // deliberately not part of Summary: Summary stays a comparable,
-// deterministic value (batched-vs-sequential tests compare Summaries
+// deterministic value (width-invariance tests compare Summaries
 // with ==), while phase timings are wall-clock and vary run to run.
 // Callers snapshot Engine.Phases before and after a Run and Sub the
 // two to attribute time to one batch.
@@ -28,8 +28,7 @@ type PhaseBreakdown struct {
 	TreewalkNS int64 `json:"treewalk_ns"`
 	CollectNS  int64 `json:"collect_ns"`
 	ShakeNS    int64 `json:"shake_ns"`
-	// SimNS is production simulation: sequential policy runs and
-	// lockstep wave chunks.
+	// SimNS is production simulation: the lockstep wave chunks.
 	SimNS int64 `json:"sim_ns"`
 	// StreamNS is packed-stream resolution (decode-from-disk or
 	// record-by-walking).

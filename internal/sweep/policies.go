@@ -66,10 +66,6 @@ func (baselinePolicy) Name() string { return PolicyBaseline }
 
 func (baselinePolicy) CanonicalJob(j Job, cfg core.Config) Job { return clearCommon(j) }
 
-func (p baselinePolicy) Run(rt Runtime, j Job, deps []Resolved) (*Outcome, error) {
-	return runLane(p, rt, j, deps)
-}
-
 func (baselinePolicy) OpenLane(rt Runtime, j Job, _ []Resolved) (*Lane, error) {
 	b := workload.ByName(j.Bench)
 	l := core.NewBaselineLane(rt.Config())
@@ -105,10 +101,6 @@ func (singleClockPolicy) ShardAnchor(cfg core.Config, j Job) *Dep {
 		return nil // explicit-frequency ladder points place by their own key
 	}
 	return &Dep{Profile: offlineProfile(j.Bench)}
-}
-
-func (p singleClockPolicy) Run(rt Runtime, j Job, deps []Resolved) (*Outcome, error) {
-	return runLane(p, rt, j, deps)
 }
 
 func (singleClockPolicy) OpenLane(rt Runtime, j Job, _ []Resolved) (*Lane, error) {
@@ -148,10 +140,6 @@ func (offlinePolicy) ShardAnchor(cfg core.Config, j Job) *Dep {
 	return &Dep{Profile: offlineProfile(j.Bench)}
 }
 
-func (p offlinePolicy) Run(rt Runtime, j Job, deps []Resolved) (*Outcome, error) {
-	return runLane(p, rt, j, deps)
-}
-
 func (offlinePolicy) OpenLane(rt Runtime, j Job, deps []Resolved) (*Lane, error) {
 	b := workload.ByName(j.Bench)
 	l := core.NewEditedLane(rt.Config(), rt.Plan(deps[0].Profile, j.Delta), true)
@@ -173,10 +161,6 @@ func (onlinePolicy) CanonicalJob(j Job, cfg core.Config) Job {
 		j.Aggressiveness = aggr
 	}
 	return j
-}
-
-func (p onlinePolicy) Run(rt Runtime, j Job, deps []Resolved) (*Outcome, error) {
-	return runLane(p, rt, j, deps)
 }
 
 func (onlinePolicy) OpenLane(rt Runtime, j Job, _ []Resolved) (*Lane, error) {
@@ -214,10 +198,6 @@ func (globalPolicy) Deps(cfg core.Config, j Job) []Dep {
 // also resolve the global run.
 func (globalPolicy) ShardAnchor(cfg core.Config, j Job) *Dep {
 	return &Dep{Job: &Job{Bench: j.Bench, Policy: PolicyOffline}}
-}
-
-func (p globalPolicy) Run(rt Runtime, j Job, deps []Resolved) (*Outcome, error) {
-	return runLane(p, rt, j, deps)
 }
 
 func (globalPolicy) OpenLane(rt Runtime, j Job, deps []Resolved) (*Lane, error) {
@@ -265,10 +245,6 @@ func (p schemePolicy) Deps(cfg core.Config, j Job) []Dep {
 
 func (p schemePolicy) ShardAnchor(cfg core.Config, j Job) *Dep {
 	return &Dep{Profile: &ProfileSpec{Bench: j.Bench, Scheme: j.Scheme}}
-}
-
-func (p schemePolicy) Run(rt Runtime, j Job, deps []Resolved) (*Outcome, error) {
-	return runLane(p, rt, j, deps)
 }
 
 func (schemePolicy) OpenLane(rt Runtime, j Job, deps []Resolved) (*Lane, error) {

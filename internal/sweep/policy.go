@@ -13,9 +13,9 @@ import (
 // Policy is one comparator the sweep can run, registered by name. A
 // policy declares its prerequisites as typed dependencies — other jobs
 // resolved through the engine's result layers, and trained profiles
-// resolved through the artifact layers — and builds its outcome from the
-// resolved values. Adding a comparator means registering a Policy, not
-// editing the executor.
+// resolved through the artifact layers — and opens its production run
+// as a Lane from the resolved values. Adding a comparator means
+// registering a Policy, not editing the executor.
 type Policy interface {
 	// Name is the policy's job name (Job.Policy).
 	Name() string
@@ -26,17 +26,19 @@ type Policy interface {
 	// onto the zero value and clears parameters it ignores, so
 	// semantically identical jobs share one cache key.
 	CanonicalJob(j Job, cfg core.Config) Job
-	// Deps declares the job's prerequisites in the order Run receives
-	// them resolved.
+	// Deps declares the job's prerequisites in the order OpenLane
+	// receives them resolved.
 	Deps(cfg core.Config, j Job) []Dep
 	// ShardAnchor names the dependency whose key decides which shard owns
 	// the job, or nil to place the job by its own key. The anchor may be
 	// a placement-only hint that Deps does not resolve (single-clock jobs
 	// place with the comparator chain that consumes them).
 	ShardAnchor(cfg core.Config, j Job) *Dep
-	// Run builds the job's outcome from its resolved dependencies,
-	// indexed like Deps' return.
-	Run(rt Runtime, j Job, deps []Resolved) (*Outcome, error)
+	// OpenLane prepares the job's production run from its resolved
+	// dependencies, indexed like Deps' return, without consuming any
+	// stream: every comparator is one budgeted pass over the
+	// benchmark's reference stream, which the engine drives.
+	OpenLane(rt Runtime, j Job, deps []Resolved) (*Lane, error)
 }
 
 // Dep is one typed prerequisite: exactly one of Job or Profile is set.
@@ -84,15 +86,12 @@ type Resolved struct {
 	Profile *core.Profile
 }
 
-// Runtime is what a policy's Run may use to build its outcome: the
-// engine configuration, replayable benchmark streams, and replanning of
-// trained profiles at job-level deltas.
+// Runtime is what a policy's OpenLane may use to build its lane: the
+// engine configuration and replanning of trained profiles at job-level
+// deltas.
 type Runtime interface {
 	// Config returns the engine configuration jobs run under.
 	Config() core.Config
-	// Feeder returns a replayable stream for one benchmark input,
-	// shared and recorded once across concurrent jobs.
-	Feeder(b *workload.Benchmark, ref bool) isa.Feeder
 	// Plan returns a profile's edit plan at the job's delta, replanning
 	// from the shaken histograms when it differs from the
 	// configuration's.
@@ -102,38 +101,13 @@ type Runtime interface {
 // Lane is one job's production simulation opened for streaming: the
 // consumer that eats the benchmark's reference stream, the instruction
 // budget it runs under, and the finalization that builds the outcome.
-// Splitting a policy run this way lets the batch executor drive many
-// jobs' lanes from one lockstep replay of the shared decoded stream
-// (isa.PackedStream.FeedLockstep); a sequential Feed through the same
-// consumer computes the identical outcome.
+// The engine drives every job's lane, alone or with its anchor group's,
+// from one lockstep replay of the shared decoded stream
+// (isa.PackedStream.FeedLockstep).
 type Lane struct {
 	Consumer isa.Consumer
 	Budget   int64
 	Finish   func() (*Outcome, error)
-}
-
-// LanePolicy is a Policy whose production run is one budgeted pass over
-// the benchmark's reference stream, split into open/stream/finish so
-// the engine can batch it. All built-in policies implement it; a policy
-// that does not is always executed sequentially via Run.
-type LanePolicy interface {
-	Policy
-	// OpenLane prepares the job's simulation from its resolved
-	// dependencies without consuming any stream.
-	OpenLane(rt Runtime, j Job, deps []Resolved) (*Lane, error)
-}
-
-// runLane executes a lane policy sequentially: open, feed the reference
-// stream under the lane's budget, finish. Policies implement Run with
-// it so the sequential and batched paths share one lane construction.
-func runLane(p LanePolicy, rt Runtime, j Job, deps []Resolved) (*Outcome, error) {
-	ln, err := p.OpenLane(rt, j, deps)
-	if err != nil {
-		return nil, err
-	}
-	b := workload.ByName(j.Bench)
-	rt.Feeder(b, true).Feed(&isa.CountingConsumer{Inner: ln.Consumer, Budget: ln.Budget})
-	return ln.Finish()
 }
 
 // policies is the registry, in registration order (which Policies()

@@ -3,14 +3,17 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/colseg"
 	"repro/internal/core"
 )
 
@@ -225,6 +228,29 @@ func TestSegmentStoreCorruptQuarantine(t *testing.T) {
 	}
 	if got := fresh.CorruptRows(); got == 0 {
 		t.Fatalf("corrupt rows not counted: %d", got)
+	}
+}
+
+// TestDecodeSegmentRowsBoundsDeclaredRows sends an upload-sized lie
+// through the fleet's segment decoder: a 44-byte segment with valid
+// checksums declaring 2^31 rows. It must be rejected as corrupt without
+// allocating anything near what the row count implies.
+func TestDecodeSegmentRowsBoundsDeclaredRows(t *testing.T) {
+	w := colseg.NewWriter(segmentSchema, 1<<31)
+	w.Column("id", nil)
+	b := w.Bytes()
+	if len(b) != 44 {
+		t.Fatalf("segment is %d bytes, want 44", len(b))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeSegmentRows(b)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, colseg.ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("rejecting a 44-byte segment allocated %d bytes", n)
 	}
 }
 

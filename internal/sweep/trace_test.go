@@ -148,3 +148,42 @@ func TestTracedRunIsInvisible(t *testing.T) {
 		})
 	}
 }
+
+// TestSimulateSpansSumToSimPhase checks shared lockstep work is counted
+// once: each chunk's lanes split the chunk's duration between them, so
+// in a traced grid run the simulate spans sum exactly to the engine's
+// simulation phase total. The grid includes the global comparator,
+// whose default single-clock dependency resolves as a wave of one.
+func TestSimulateSpansSumToSimPhase(t *testing.T) {
+	m := &Manifest{
+		Benchmarks: []string{"adpcm_decode"},
+		Policies:   []string{PolicyBaseline, PolicyOnline, PolicyOffline, PolicyGlobal},
+	}
+	jobs, err := m.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(m.Config())
+	eng.Trace = obs.NewTracer(0)
+	if _, _, err := eng.Run(context.Background(), jobs); err != nil {
+		t.Fatal(err)
+	}
+	spans, _, dropped := eng.Trace.Snapshot(0)
+	if dropped != 0 {
+		t.Fatalf("tracer dropped %d spans", dropped)
+	}
+	var sum int64
+	lanes := 0
+	for _, s := range spans {
+		if s.Phase == "simulate" {
+			sum += s.DurNS
+			lanes++
+		}
+	}
+	if lanes != len(jobs)+1 {
+		t.Errorf("%d simulate spans, want one per job plus the single-clock dependency (%d)", lanes, len(jobs)+1)
+	}
+	if want := eng.Phases().SimNS; sum != want || want == 0 {
+		t.Errorf("simulate spans sum to %d ns, sim phase is %d ns", sum, want)
+	}
+}
