@@ -36,19 +36,38 @@ func TestMain(m *testing.M) {
 // worker is one reexec'd mcdworker under test.
 type worker struct {
 	cmd    *exec.Cmd
-	stderr *bytes.Buffer
+	stderr *lockedBuffer
+}
+
+// lockedBuffer is a bytes.Buffer that exec's stderr copy goroutine can
+// write while the test reads the log so far.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 func startWorker(t *testing.T, serverURL, name string) *worker {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-server", serverURL, "-name", name, "-cache", t.TempDir())
 	cmd.Env = append(os.Environ(), "MCDWORKER_REEXEC=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
+	stderr := &lockedBuffer{}
+	cmd.Stderr = stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	w := &worker{cmd: cmd, stderr: &stderr}
+	w := &worker{cmd: cmd, stderr: stderr}
 	t.Cleanup(func() {
 		if w.cmd.ProcessState == nil {
 			w.cmd.Process.Kill()
@@ -137,6 +156,10 @@ func TestFleetFaultInjection(t *testing.T) {
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer func() {
+		// A failed wait leaves the sweep's request open, and the workers
+		// cannot finish it once the listener is closed, so Close alone
+		// would wait on that connection forever.
+		ts.CloseClientConnections()
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()

@@ -122,7 +122,8 @@ type Segment struct {
 	Schema uint32
 	Rows   int
 
-	cols map[string][]byte
+	names []string // in file order
+	cols  map[string][]byte
 }
 
 // Column returns a named column's payload.
@@ -133,10 +134,7 @@ func (s *Segment) Column(name string) ([]byte, bool) {
 
 // Names returns the decoded column names, sorted.
 func (s *Segment) Names() []string {
-	out := make([]string, 0, len(s.cols))
-	for n := range s.cols {
-		out = append(out, n)
-	}
+	out := append([]string(nil), s.names...)
 	sort.Strings(out)
 	return out
 }
@@ -183,6 +181,10 @@ func Decode(b []byte) (*Segment, error) {
 		if len(b)-at < nameLen+8 {
 			return nil, corruptf("truncated in column %d header", c)
 		}
+		if nameLen == 0 {
+			// The writer never emits an empty name.
+			return nil, corruptf("column %d has an empty name", c)
+		}
 		name := string(b[at : at+nameLen])
 		at += nameLen
 		payLen := int(binary.LittleEndian.Uint32(b[at:]))
@@ -199,6 +201,7 @@ func Decode(b []byte) (*Segment, error) {
 		if _, dup := s.cols[name]; dup {
 			return nil, corruptf("duplicate column %q", name)
 		}
+		s.names = append(s.names, name)
 		s.cols[name] = payload
 	}
 	if len(b)-at != trailerSize {

@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"reflect"
 	"runtime"
 	"testing"
 )
 
-func sampleSegment(t *testing.T) ([]byte, []int64, []float64, []string, [][]float64) {
+func sampleSegment(t testing.TB) ([]byte, []int64, []float64, []string, [][]float64) {
 	t.Helper()
 	ints := []int64{0, 1, -1, 63, -64, math.MaxInt64, math.MinInt64, 42}
 	floats := []float64{0, math.Copysign(0, -1), 1.5, -2.25, math.Inf(1), math.Inf(-1), math.NaN(), 3.14159}
@@ -203,4 +204,116 @@ func TestFloatListLengthsBounded(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
+}
+
+// emptyNameSegment is a sealed segment whose one column has an empty
+// name, which the writer cannot produce.
+func emptyNameSegment() []byte {
+	w := NewWriter(1, 0)
+	w.Column("x", nil)
+	b := w.Bytes()
+	// Drop the name byte, zero its length, and re-seal the file.
+	b = append(b[:headerSize+2:headerSize+2], b[headerSize+3:]...)
+	binary.LittleEndian.PutUint16(b[headerSize:], 0)
+	return reseal(b)
+}
+
+// reseal recomputes the file checksum, so a mutation of the header or
+// the column framing reaches the parser behind it.
+func reseal(b []byte) []byte {
+	r := bytes.Clone(b)
+	end := len(r) - trailerSize
+	binary.LittleEndian.PutUint32(r[end:], crc32.ChecksumIEEE(r[:end]))
+	return r
+}
+
+// FuzzDecode checks that no input panics the container or the typed
+// codecs, that a decoded segment re-encodes to the bytes it came from,
+// and that a codec either fails with ErrCorrupt or returns exactly the
+// rows asked for.
+func FuzzDecode(f *testing.F) {
+	b, _, _, _, _ := sampleSegment(f)
+	f.Add(b)
+	for i := range b {
+		mut := bytes.Clone(b)
+		mut[i] ^= 0x40
+		f.Add(mut)
+		f.Add(b[:i])
+	}
+	f.Add(append(bytes.Clone(b), 0))
+	empty := NewWriter(1, 0)
+	empty.Column("i", PutInt64s(nil))
+	f.Add(empty.Bytes())
+	huge := NewWriter(1, 1<<31)
+	huge.Column("xy", nil)
+	f.Add(huge.Bytes())
+	// TestFloatListLengthsBounded's payloads, as float-list columns.
+	wrap := binary.AppendUvarint(nil, 1<<63+1)
+	for _, tc := range []struct {
+		rows int
+		p    []byte
+	}{
+		{1, binary.AppendUvarint(nil, 1<<40)},
+		{2, binary.AppendUvarint(wrap, 1<<63+1)},
+	} {
+		w := NewWriter(1, tc.rows)
+		w.Column("l", tc.p)
+		f.Add(w.Bytes())
+	}
+	f.Add(emptyNameSegment())
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fuzzSegment(t, b)
+		if len(b) >= trailerSize {
+			fuzzSegment(t, reseal(b))
+		}
+		// Column checksums stop nearly every payload mutation at Decode,
+		// so the codecs also take the raw input: its first byte is the
+		// row count, the rest the payload.
+		if len(b) > 0 {
+			fuzzCodecs(t, b[1:], int(b[0]))
+		}
+	})
+}
+
+func fuzzSegment(t *testing.T, b []byte) {
+	s, err := Decode(b)
+	if err != nil {
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Decode error not tagged ErrCorrupt: %v", err)
+		}
+		return
+	}
+	w := NewWriter(s.Schema, s.Rows)
+	for _, n := range s.names {
+		w.Column(n, s.cols[n])
+	}
+	if !bytes.Equal(w.Bytes(), b) {
+		t.Fatalf("decoded segment re-encodes to different bytes")
+	}
+	for _, n := range s.names {
+		fuzzCodecs(t, s.cols[n], s.Rows)
+	}
+}
+
+func fuzzCodecs(t *testing.T, p []byte, rows int) {
+	check := func(kind string, n int, err error) {
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: error not tagged ErrCorrupt: %v", kind, err)
+			}
+			return
+		}
+		if n != rows {
+			t.Fatalf("%s: decoded %d values for %d rows", kind, n, rows)
+		}
+	}
+	ints, err := Int64s(p, rows)
+	check("int64", len(ints), err)
+	floats, err := Float64s(p, rows)
+	check("float64", len(floats), err)
+	strs, err := Strings(p, rows)
+	check("string", len(strs), err)
+	lists, err := FloatLists(p, rows)
+	check("float-list", len(lists), err)
 }

@@ -102,16 +102,17 @@ func TestPackedCodecRejectsCorruption(t *testing.T) {
 	}
 }
 
+// reseal recomputes the CRC after a body mutation, so only the
+// structural validation stands between the corruption and a replay.
+func reseal(b []byte) []byte {
+	body := b[:len(b)-4]
+	return binary.LittleEndian.AppendUint32(bytes.Clone(body), crc32.ChecksumIEEE(body))
+}
+
 // TestPackedCodecRejectsBadContent: corruption that keeps the checksum
 // valid (a rewritten entry) must still fail the structural checks —
 // class range, marker-position monotonicity, freqs index order.
 func TestPackedCodecRejectsBadContent(t *testing.T) {
-	// reseal recomputes the CRC after a body mutation, so only the
-	// structural validation stands between the corruption and a replay.
-	reseal := func(b []byte) []byte {
-		body := b[:len(b)-4]
-		return binary.LittleEndian.AppendUint32(bytes.Clone(body), crc32.ChecksumIEEE(body))
-	}
 	enc := EncodePacked(freqStream())
 
 	bad := bytes.Clone(enc)
@@ -124,5 +125,52 @@ func TestPackedCodecRejectsBadContent(t *testing.T) {
 	binary.LittleEndian.PutUint64(bad[len(packedMagic):], 1<<60) // instruction count
 	if _, err := DecodePacked(reseal(bad)); err == nil {
 		t.Error("absurd instruction count decoded successfully")
+	}
+}
+
+// FuzzDecodePacked checks that no input panics DecodePacked and that a
+// stream it accepts re-encodes to the bytes it came from. Each input is
+// also tried resealed, so mutations reach the structural checks behind
+// the checksum.
+func FuzzDecodePacked(f *testing.F) {
+	enc := EncodePacked(freqStream())
+	for _, b := range [][]byte{
+		enc,
+		EncodePacked(RecordPacked(streamProg(), Input{Name: "train"})),
+		EncodePacked(&PackedStream{}),
+		append(bytes.Clone(enc), 0xee),
+	} {
+		f.Add(b)
+	}
+	for _, cut := range []int{0, 1, len(packedMagic), len(packedMagic) + 7, len(enc) / 2, len(enc) - 1} {
+		f.Add(enc[:cut])
+	}
+	for _, off := range []int{0, len(packedMagic), len(packedMagic) + 8, len(enc) / 3, len(enc) / 2, len(enc) - 5, len(enc) - 1} {
+		bad := bytes.Clone(enc)
+		bad[off] ^= 0x40
+		f.Add(bad)
+	}
+	bad := bytes.Clone(enc)
+	bad[len(packedMagic)+8] = 0xff
+	f.Add(reseal(bad))
+	bad = bytes.Clone(enc)
+	binary.LittleEndian.PutUint64(bad[len(packedMagic):], 1<<60)
+	f.Add(reseal(bad))
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		fuzzPacked(t, b)
+		if len(b) >= 4 {
+			fuzzPacked(t, reseal(b))
+		}
+	})
+}
+
+func fuzzPacked(t *testing.T, b []byte) {
+	s, err := DecodePacked(b)
+	if err != nil {
+		return
+	}
+	if !bytes.Equal(EncodePacked(s), b) {
+		t.Fatalf("decoded stream re-encodes to different bytes")
 	}
 }

@@ -125,8 +125,8 @@ func Measure(s Scenario) (Result, error) {
 // RunAll measures the named scenarios (all registered scenarios when
 // names is empty) and assembles a report. The synthetic workload suite
 // is built before any timing starts — it is shared process-wide setup,
-// and without the warm-up the first scenario to touch a benchmark would
-// be charged for constructing all nineteen.
+// and benchmarks are built on first use, so without the warm-up the
+// first scenario to touch a benchmark would be charged for building it.
 func RunAll(names []string, label string) (*Report, error) {
 	scens, err := Select(names)
 	if err != nil {

@@ -76,7 +76,7 @@ func (j Job) String() string {
 // produce garbage results that the cache then serves forever under a
 // perfectly valid key.
 func (j Job) Validate() error {
-	if workload.ByName(j.Bench) == nil {
+	if !workload.Known(j.Bench) {
 		return fmt.Errorf("sweep: unknown benchmark %q", j.Bench)
 	}
 	p, ok := PolicyByName(j.Policy)

@@ -133,37 +133,77 @@ func Specs() []Spec {
 	}
 }
 
-var (
-	suiteOnce sync.Once
-	suite     []*Benchmark
-	byName    map[string]*Benchmark
-)
-
-// Suite builds (once) and returns all 19 benchmarks.
-func Suite() []*Benchmark {
-	suiteOnce.Do(func() {
-		specs := Specs()
-		suite = make([]*Benchmark, len(specs))
-		byName = make(map[string]*Benchmark, len(specs))
-		for i, s := range specs {
-			suite[i] = Build(s)
-			byName[s.Name] = suite[i]
-		}
-	})
-	return suite
+// table is the benchmark suite, built lazily: an index from name to
+// suite position, made once from the specs without walking any program,
+// and one sync.Once per benchmark. Build is a pure function of its spec
+// (its own isa.Builder, an RNG seeded from the benchmark name, and the
+// read-only standard mixes), so a benchmark built alone, in any order,
+// or concurrently with others is identical to one built in suite order.
+type table struct {
+	specs []Spec
+	index map[string]int
+	once  []sync.Once
+	built []*Benchmark
 }
 
-// ByName returns one benchmark, or nil if the name is unknown.
-func ByName(name string) *Benchmark {
-	Suite()
-	return byName[name]
-}
-
-// Names lists the benchmark names in suite order.
-func Names() []string {
-	specs := Specs()
-	out := make([]string, len(specs))
+func newTable(specs []Spec) *table {
+	t := &table{
+		specs: specs,
+		index: make(map[string]int, len(specs)),
+		once:  make([]sync.Once, len(specs)),
+		built: make([]*Benchmark, len(specs)),
+	}
 	for i, s := range specs {
+		t.index[s.Name] = i
+	}
+	return t
+}
+
+// at builds the i'th benchmark on first use.
+func (t *table) at(i int) *Benchmark {
+	t.once[i].Do(func() { t.built[i] = Build(t.specs[i]) })
+	return t.built[i]
+}
+
+func (t *table) byName(name string) *Benchmark {
+	i, ok := t.index[name]
+	if !ok {
+		return nil
+	}
+	return t.at(i)
+}
+
+func (t *table) suite() []*Benchmark {
+	out := make([]*Benchmark, len(t.specs))
+	for i := range out {
+		out[i] = t.at(i)
+	}
+	return out
+}
+
+// suite is the process-wide table. Building one benchmark walks its
+// program to the end on both inputs to size the simulation windows, so
+// a process builds only the benchmarks it names.
+var suite = newTable(Specs())
+
+// Suite builds (each once) and returns all 19 benchmarks, in suite
+// order.
+func Suite() []*Benchmark { return suite.suite() }
+
+// ByName returns one benchmark, building it on first use, or nil if the
+// name is unknown.
+func ByName(name string) *Benchmark { return suite.byName(name) }
+
+// Known reports whether name is a benchmark, without building it.
+func Known(name string) bool {
+	_, ok := suite.index[name]
+	return ok
+}
+
+// Names lists the benchmark names in suite order, without building any.
+func Names() []string {
+	out := make([]string, len(suite.specs))
+	for i, s := range suite.specs {
 		out[i] = s.Name
 	}
 	return out
